@@ -18,7 +18,9 @@
 //! estimators fed by per-model arrival history that start nodes *before*
 //! a forecast burst, and [`ClusterSpec::pipeline_k`] shards one cold
 //! start across several nodes pipeline-parallel (HydraServe/ParaServe
-//! style), serving the first token when the first stage is live.
+//! style), serving the first token when the first stage is live. The
+//! fleet answers routing decisions from indices it keeps current as nodes
+//! change ([`routing`]) instead of scanning every node.
 //!
 //! ## Example
 //!
@@ -54,6 +56,7 @@ pub mod cluster;
 pub mod event;
 mod params;
 pub mod predict;
+pub mod routing;
 pub mod scenarios;
 mod sim;
 
@@ -72,4 +75,5 @@ pub use cluster::RegistryPolicy;
 pub use event::{EventQueue, EventToken, FleetEvent};
 pub use params::PerfModel;
 pub use predict::{PrewarmConfig, PrewarmDecision, PrewarmEstimator, PrewarmPolicy};
+pub use routing::{NodeSetup, RouteQuery, RoutingState};
 pub use sim::{simulate, simulate_traced, ClusterConfig, SimResult};
