@@ -182,20 +182,12 @@ else
   done <<<"$PROPTEST_FILES"
 fi
 
-echo "==> deprecated carve-out (allow(deprecated) only in the core compat shims)"
-FOUND="$(git grep -l 'allow(deprecated)' -- '*.rs' || true)"
-BAD="$(echo "$FOUND" | grep -vx \
-  -e crates/core/src/lib.rs \
-  -e crates/core/src/pipeline.rs \
-  -e crates/core/src/tp.rs \
-  -e crates/serving/src/cluster.rs \
-  -e crates/serving/src/lib.rs || true)"
-if [ -n "$BAD" ]; then
-  echo "FAIL: allow(deprecated) outside the compat carve-out - migrate off the deprecated names:"
-  echo "$BAD"
+echo "==> no deprecation allowances in Rust sources"
+if git grep -nE 'allow\([^)]*deprecated' -- '*.rs'; then
+  echo "FAIL: a deprecation allowance - migrate the caller off the deprecated name instead"
   exit 1
 fi
-echo "    carve-out respected"
+echo "    none found"
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q

@@ -192,7 +192,7 @@ fn bench_serde() {
 }
 
 fn bench_serving_and_workload() {
-    use medusa_serving::{simulate, ClusterConfig, PerfModel};
+    use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
     use medusa_workload::TraceConfig;
     let mut seed = 0u64;
     report(
@@ -221,13 +221,15 @@ fn bench_serving_and_workload() {
             (2048, medusa_gpu::SimDuration::from_millis(80)),
         ],
     );
+    let profile = FleetProfile::from_perf(medusa::Strategy::Vanilla, perf);
     let trace = TraceConfig::sharegpt(10.0, 300.0).with_seed(3).generate();
     report(
         "serving/cluster_sim_3000_requests",
         measure(3, || {
-            simulate(
-                &perf,
-                &ClusterConfig::default(),
+            simulate_fleet(
+                &profile,
+                &ClusterSpec::uniform(4),
+                Policy::Locality,
                 std::hint::black_box(&trace),
             )
         }),

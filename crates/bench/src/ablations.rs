@@ -14,7 +14,7 @@
 //! 4. **Validation cost** (§4/§8): what the optional validation forwarding
 //!    adds to a Medusa cold start.
 
-use crate::common::{self, gpu, offline, run_cold, s};
+use crate::common::{self, gpu, offline, run_cold, s, s_us, serve_trace};
 use medusa::{
     analyze, count_naive_mismatches, run_offline_capture, ColdStart, ColdStartOptions, ParamSpec,
     Stage, Strategy, TriggeringMode,
@@ -224,7 +224,7 @@ pub fn mechanism_breakdown() {
 /// keep-alive scale-down — cold starts recur at every burst front, so the
 /// cold-start strategy shows up directly in the p99 TTFT.
 pub fn bursty() {
-    use medusa_serving::{simulate, ClusterConfig, PerfModel};
+    use medusa_serving::PerfModel;
     use medusa_workload::{ArrivalPattern, TraceConfig};
     println!(
         "### Extension — bursty arrivals + keep-alive scale-down (paper §1 motivation)
@@ -232,10 +232,6 @@ pub fn bursty() {
     );
     let spec = ModelSpec::by_name("Qwen1.5-4B").expect("catalog");
     let (artifact, _) = offline(&spec);
-    let cfg = ClusterConfig {
-        keep_alive_s: 15.0,
-        ..ClusterConfig::default()
-    };
     let trace = TraceConfig::sharegpt(4.0, 300.0)
         .with_seed(7)
         .with_pattern(ArrivalPattern::sharegpt_bursty())
@@ -260,13 +256,13 @@ pub fn bursty() {
             common::online_seed(&spec, strategy),
         )
         .expect("measure");
-        let r = simulate(&perf, &cfg, &trace);
+        let r = serve_trace(strategy, &perf, 15.0, &trace);
         println!(
             "{:<16} {:>9}s {:>9}s {:>12}",
             strategy.to_string(),
-            s(r.ttft_quantile(0.99)),
-            s(r.ttft_mean()),
-            r.cold_starts.len()
+            s_us(r.ttft_p99_us),
+            s_us(r.ttft_mean_us),
+            r.cold_starts
         );
     }
     println!(

@@ -6,6 +6,8 @@ use medusa::{
 };
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
+use medusa_serving::{simulate_fleet, ClusterReport, ClusterSpec, FleetProfile, PerfModel, Policy};
+use medusa_workload::Request;
 
 /// The evaluation GPU (paper §7: A100-40GB SXM4).
 pub fn gpu() -> GpuSpec {
@@ -53,6 +55,26 @@ pub fn run_cold(
         builder = builder.artifact(a);
     }
     builder.run().expect("cold start").into_single()
+}
+
+/// Replays `trace` on the paper's §7.5 testbed: 4 GPUs with a warm
+/// container pool (a cold start costs exactly `perf.loading`, with no
+/// registry fetch), reactive scale-up, scale-down after `keep_alive_s`
+/// idle seconds, and start-cost locality routing.
+pub fn serve_trace(
+    strategy: Strategy,
+    perf: &PerfModel,
+    keep_alive_s: f64,
+    trace: &[Request],
+) -> ClusterReport {
+    let profile = FleetProfile::from_perf(strategy, perf.clone());
+    let cluster = ClusterSpec::uniform(4).with_keep_alive(keep_alive_s);
+    simulate_fleet(&profile, &cluster, Policy::Locality, trace).report
+}
+
+/// Microseconds as seconds with 3 decimals.
+pub fn s_us(us: u64) -> String {
+    s(SimDuration::from_micros(us))
 }
 
 /// Seconds with 3 decimals.

@@ -5,10 +5,10 @@
 //! simulated seconds; the reproduction targets are the *shapes* — who wins,
 //! by roughly what factor, where crossovers fall.
 
-use crate::common::{self, for_all_models, gpu, offline, pct, run_cold, s};
+use crate::common::{self, for_all_models, gpu, offline, pct, run_cold, s, s_us, serve_trace};
 use medusa::{ColdStartReport, Stage, Strategy};
 use medusa_model::ModelSpec;
-use medusa_serving::{simulate, ClusterConfig, PerfModel};
+use medusa_serving::PerfModel;
 use medusa_workload::TraceConfig;
 
 const LOADING_STAGES: [Stage; 5] = [
@@ -298,15 +298,14 @@ pub fn fig10() {
             println!("{model} @ {rps} rps ({} requests):", trace.len());
             let mut p99 = Vec::new();
             for (strategy, perf) in &perfs {
-                let r = simulate(perf, &ClusterConfig::default(), &trace);
-                let q = r.ttft_quantile(0.99);
-                p99.push((*strategy, q.as_secs_f64()));
+                let r = serve_trace(*strategy, perf, 60.0, &trace);
+                p99.push((*strategy, r.ttft_p99_us as f64));
                 println!(
                     "  {:<16} p99 TTFT {:>8}s   mean {:>8}s   cold starts {}",
                     strategy.to_string(),
-                    s(q),
-                    s(r.ttft_mean()),
-                    r.cold_starts.len()
+                    s_us(r.ttft_p99_us),
+                    s_us(r.ttft_mean_us),
+                    r.cold_starts
                 );
             }
             let vllm = p99
@@ -354,11 +353,11 @@ pub fn fig11() {
                     .find(|(st, _)| *st == target)
                     .expect("measured")
                     .1;
-                let r = simulate(perf, &ClusterConfig::default(), &trace);
+                let r = serve_trace(target, perf, 60.0, &trace);
                 print!(
                     " {:>9.2}qps {:>8.3}s ",
-                    r.throughput(),
-                    r.ttft_quantile(0.99).as_secs_f64()
+                    r.completed as f64 / (r.makespan_ns as f64 / 1e9),
+                    r.ttft_p99_us as f64 / 1e6
                 );
             }
             println!();

@@ -99,12 +99,6 @@ pub use pipeline::{
     materialize_offline, ColdStartOptions, ColdStartReport, OfflineReport, Parallelism,
     ReadyEngine, Stage, StageSpan, Strategy, TriggeringMode,
 };
-// Deprecated entry points stay re-exported for one release so downstream
-// callers migrate on their own schedule; the builder replaces them.
-#[allow(deprecated)]
-pub use pipeline::{cold_start, cold_start_traced, materialize_offline_sharded};
-#[allow(deprecated)]
-pub use tp::{cold_start_tp, cold_start_tp_traced};
 pub use tp::{materialize_offline_tp, materialize_offline_tp_with, TpArtifacts, TpColdStart};
 pub use trace::{AllocEvent, TraceWalker};
 pub use validator::{ArtifactValidator, ValidationCheck, ValidationReport};

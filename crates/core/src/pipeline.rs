@@ -376,28 +376,8 @@ pub fn materialize_offline(
 }
 
 /// Runs the offline phase for one tensor-parallel shard (paper §8): rank
-/// `rank` of a `tp`-way instance gets its own artifact.
-///
-/// # Errors
-///
-/// Propagates capture and analysis failures.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `ColdStart::new(spec).tp(n).materialize()` (the builder shards per rank)"
-)]
-pub fn materialize_offline_sharded(
-    spec: &ModelSpec,
-    rank: u32,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    seed: u64,
-) -> MedusaResult<(MaterializedState, OfflineReport)> {
-    materialize_offline_shard_impl(spec, rank, tp, gpu, cost, seed)
-}
-
-/// Shared implementation behind [`materialize_offline`], the deprecated
-/// [`materialize_offline_sharded`], and the builder's materialize path.
+/// `rank` of a `tp`-way instance gets its own artifact. Shared by
+/// [`materialize_offline`] and the builder's materialize path.
 pub(crate) fn materialize_offline_shard_impl(
     spec: &ModelSpec,
     rank: u32,
@@ -428,59 +408,15 @@ pub(crate) fn materialize_offline_shard_impl(
     ))
 }
 
-/// Runs a cold start with `strategy`, returning the serving-ready engine
-/// and the stage-timing report.
-///
-/// # Errors
-///
-/// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] without an
-///   artifact.
-/// * Propagated driver / KV / restoration errors.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the `ColdStart` builder: `ColdStart::new(spec).strategy(s).options(opts).run()`"
-)]
-pub fn cold_start(
-    strategy: Strategy,
-    spec: &ModelSpec,
-    gpu: GpuSpec,
-    cost: CostModel,
-    artifact: Option<&MaterializedState>,
-    opts: ColdStartOptions,
-) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
-    cold_start_impl(strategy, spec, gpu, cost, artifact, opts, None)
-}
-
-/// [`cold_start`] with an optional telemetry registry: stage spans (with
+/// Single-rank cold start with `strategy` behind the
+/// [`crate::builder::ColdStart`] builder, returning the serving-ready engine
+/// and the stage-timing report. With `tele`, stage spans (with
 /// critical-path parent linkage), per-stage duration histograms, and
-/// loading/total histograms are recorded into `tele`, all in simulated
-/// time — same-seed runs produce identical registries. Under tensor
-/// parallelism (`opts.tp > 1`) span names are `rank{r}/`-prefixed and
-/// lanes `/rank{r}`-suffixed so per-rank timelines stay separate rows in
-/// the Chrome trace.
-///
-/// # Errors
-///
-/// Same as [`cold_start`].
-#[deprecated(
-    since = "0.6.0",
-    note = "use the `ColdStart` builder: `ColdStart::new(spec).telemetry(t).run()`"
-)]
-pub fn cold_start_traced(
-    strategy: Strategy,
-    spec: &ModelSpec,
-    gpu: GpuSpec,
-    cost: CostModel,
-    artifact: Option<&MaterializedState>,
-    opts: ColdStartOptions,
-    tele: Option<&Registry>,
-) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
-    cold_start_impl(strategy, spec, gpu, cost, artifact, opts, tele)
-}
-
-/// Shared single-rank cold-start implementation behind the deprecated free
-/// functions and the [`crate::builder::ColdStart`] builder. Timing, seeding,
-/// and telemetry are exactly those of the original `cold_start_traced`.
+/// loading/total histograms are recorded in simulated time, so same-seed
+/// runs produce identical registries. Under tensor parallelism
+/// (`opts.tp > 1`) span names are `rank{r}/`-prefixed and lanes
+/// `/rank{r}`-suffixed so per-rank timelines stay separate rows in the
+/// Chrome trace.
 pub(crate) fn cold_start_impl(
     strategy: Strategy,
     spec: &ModelSpec,
@@ -1300,48 +1236,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactMismatch { .. }));
-    }
-
-    /// The deprecated free functions stay as thin wrappers for one release:
-    /// identical results to the impl they forward to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_impl() {
-        let opts = ColdStartOptions {
-            seed: 17,
-            warm_container: true,
-            ..Default::default()
-        };
-        let (_e1, via_wrapper) = cold_start(
-            Strategy::Vanilla,
-            &spec(),
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            opts,
-        )
-        .unwrap();
-        let (_e2, via_impl) = cold_start_impl(
-            Strategy::Vanilla,
-            &spec(),
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            opts,
-            None,
-        )
-        .unwrap();
-        assert_eq!(via_wrapper, via_impl);
-        let (a, _) = materialize_offline_sharded(
-            &spec(),
-            0,
-            1,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            41,
-        )
-        .unwrap();
-        assert_eq!(a, artifact());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-node serverless cluster simulator with cold-start-aware
-//! scheduling — the fleet layer above the per-instance simulator in
-//! [`crate::simulate`].
+//! scheduling — the crate's one event loop, behind the paper's trace
+//! experiments and every fleet scenario.
 //!
 //! The paper evaluates Medusa per GPU, but its payoff is fleet-level:
 //! materialization makes cold starts cheap enough that a serverless
@@ -148,10 +148,6 @@ impl Default for FetchPolicy {
         }
     }
 }
-
-/// Former name of [`FetchPolicy`].
-#[deprecated(note = "renamed to FetchPolicy; the registry *backend* is now picked by RegistryMode")]
-pub type RegistryPolicy = FetchPolicy;
 
 // ---------------------------------------------------------------------
 // Registry backends: what a cache-miss fetch actually moves.
@@ -593,12 +589,6 @@ impl ClusterSpec {
     pub fn with_registry_mode(mut self, mode: RegistryMode) -> Self {
         self.registry_mode = mode;
         self
-    }
-
-    /// Former name of [`ClusterSpec::with_fetch_policy`].
-    #[deprecated(note = "renamed to with_fetch_policy; with_registry_mode picks the backend")]
-    pub fn with_registry(self, registry: FetchPolicy) -> Self {
-        self.with_fetch_policy(registry)
     }
 
     /// Arms fleet-level fault injection (builder style).
@@ -3070,6 +3060,10 @@ mod tests {
         assert_eq!(out.report.cold_starts, 1);
         assert!(out.report.nodes[0].cached_at_end);
         assert!(!out.report.nodes[1].cached_at_end, "only node 0 started");
+        // Two more output tokens finish after two batch-1 decode steps.
+        let out = simulate_fleet(&profile, &spec, Policy::Locality, &[req(0, 0, 100, 3)]);
+        assert_eq!(out.report.completed, 1);
+        assert_eq!(out.report.makespan_ns, (820 + 2 * 5) * 1_000_000);
     }
 
     #[test]
@@ -3139,6 +3133,9 @@ mod tests {
         assert_eq!(ca.report.cold_starts, 1, "coldstart-aware packs");
         assert_eq!(ll.report.completed, 8);
         assert_eq!(ca.report.completed, 8);
+        // The packed node prefills one request per iteration, then decodes
+        // all eight second tokens in one batch-8 step (6 ms), not eight.
+        assert_eq!(ca.report.makespan_ns, (200 + 500 + 8 * 20 + 6) * 1_000_000);
     }
 
     #[test]
@@ -3155,6 +3152,17 @@ mod tests {
             out.report
         );
         assert_eq!(out.report.completed, 24);
+        // A burst of 200 long requests outgrows every node's batch: the
+        // fleet scales up to exactly its 4 GPUs and stops there.
+        let burst: Vec<Request> = (0..200).map(|i| req(i, 0, 100, 50)).collect();
+        let out = simulate_fleet(
+            &FleetProfile::from_perf(Strategy::Vanilla, perf(500)),
+            &ClusterSpec::uniform(4),
+            Policy::Locality,
+            &burst,
+        );
+        assert_eq!(out.report.cold_starts, 4, "scale-up stops at the GPU count");
+        assert_eq!(out.report.completed, 200);
     }
 
     #[test]
@@ -3171,6 +3179,11 @@ mod tests {
         // cache survived scale-to-zero, so only load 500 + prefill 20.
         assert_eq!(out.ttfts[0], SimDuration::from_millis(820));
         assert_eq!(out.ttfts[1], SimDuration::from_millis(520));
+        // Within the default 60 s keep-alive the node stays warm and the
+        // second request pays only its prefill.
+        let out = simulate_fleet(&profile, &ClusterSpec::uniform(1), Policy::Locality, &trace);
+        assert_eq!(out.report.cold_starts, 1);
+        assert_eq!(out.ttfts[1], SimDuration::from_millis(20), "warm reuse");
     }
 
     #[test]
@@ -3244,6 +3257,11 @@ mod tests {
         let back = ClusterReport::from_json(&out.report.to_json()).expect("parse");
         assert_eq!(back, out.report);
         assert_eq!(back.trace_fingerprint, fingerprint(&trace));
+        assert!(
+            back.ttft_p50_us <= back.ttft_p99_us,
+            "quantiles are monotone"
+        );
+        assert!(back.makespan_ns > 0);
     }
 
     #[test]
@@ -3277,6 +3295,8 @@ mod tests {
         assert_eq!(out.report.offered, 0);
         assert_eq!(out.report.ttft_p99_us, 0);
         assert_eq!(out.report.cold_starts, 0);
+        assert!(out.ttfts.is_empty());
+        assert_eq!(out.report.makespan_ns, 0, "no completion, no throughput");
     }
 
     fn flaky_registry() -> FetchPolicy {
@@ -3465,6 +3485,22 @@ mod tests {
         assert_eq!(base.ttfts[0], SimDuration::from_millis(820));
         // fetch 525 + loading 875 + prefill 20.
         assert_eq!(tail.ttfts[0], SimDuration::from_millis(1420));
+        // Over a 120-request stream on 4 nodes, the cheaper cold start
+        // lowers both the TTFT tail and the mean.
+        let stream: Vec<Request> = (0..120).map(|i| req(i, i * 30, 150, 40)).collect();
+        let run = |loading_ms| {
+            let profile = FleetProfile::from_perf(Strategy::Vanilla, perf(loading_ms));
+            simulate_fleet(
+                &profile,
+                &ClusterSpec::uniform(4),
+                Policy::Locality,
+                &stream,
+            )
+            .report
+        };
+        let (slow, fast) = (run(3000), run(800));
+        assert!(fast.ttft_p99_us < slow.ttft_p99_us);
+        assert!(fast.ttft_mean_us <= slow.ttft_mean_us);
     }
 
     #[test]
@@ -3555,6 +3591,22 @@ mod tests {
         assert_eq!(out.report.cold_starts, 2, "one start per model");
         let served: Vec<u32> = out.report.nodes.iter().map(|n| n.served).collect();
         assert_eq!(served, vec![1, 1], "each node serves exactly one model");
+        // KV capacity bounds admission too: at 150 tokens each and 300 of
+        // capacity, a lone node admits two requests at a time, so the TTFTs
+        // of an 8-request burst spread out and the tail rises.
+        let burst: Vec<Request> = (0..8).map(|i| req(i, 0, 100, 50)).collect();
+        let run = |perf: PerfModel| {
+            let profile = FleetProfile::from_perf(Strategy::Vanilla, perf);
+            simulate_fleet(&profile, &ClusterSpec::uniform(1), Policy::Locality, &burst)
+        };
+        let (tight, roomy) = (run(perf(100).with_kv_capacity(300)), run(perf(100)));
+        assert_eq!(tight.report.completed, 8, "everything eventually completes");
+        let (lo, hi) = (tight.ttfts.iter().min(), tight.ttfts.iter().max());
+        assert!(hi.unwrap().as_nanos() - lo.unwrap().as_nanos() > 200_000_000);
+        assert!(
+            roomy.ttfts.iter().max() < hi,
+            "kv pressure must raise tail TTFT"
+        );
     }
 
     #[test]
@@ -3878,24 +3930,5 @@ mod tests {
             !out.report.nodes[0].cached_at_end,
             "a degraded start materializes no chunks"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_registry_policy_alias_still_builds_the_same_spec() {
-        let policy = RegistryPolicy {
-            timeout_s: 0.4,
-            retry_budget: 2,
-            backoff_base_s: 0.1,
-            backoff_max_s: 0.8,
-        };
-        let old = ClusterSpec::uniform(2).with_registry(policy);
-        let new = ClusterSpec::uniform(2).with_fetch_policy(policy);
-        assert_eq!(old.fetch_policy, new.fetch_policy);
-        let profile = medusa_profile(500, 300);
-        let trace = [req(0, 0, 100, 1)];
-        let a = simulate_fleet(&profile, &old, Policy::ColdStartAware, &trace);
-        let b = simulate_fleet(&profile, &new, Policy::ColdStartAware, &trace);
-        assert_eq!(a.report.to_json(), b.report.to_json());
     }
 }

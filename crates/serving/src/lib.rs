@@ -1,26 +1,29 @@
 //! # medusa-serving
 //!
-//! Discrete-event serverless serving cluster simulator for the Medusa
+//! Discrete-event serverless serving fleet simulator for the Medusa
 //! (ASPLOS'25) reproduction — the substrate behind the paper's application
 //! trace experiments (Figures 10 and 11).
 //!
 //! Performance numbers come from *measured* runs of the real pipelines and
 //! forward passes ([`PerfModel::measure`]); the simulator replays them at
-//! queueing scale: Poisson arrivals, a global queue, reactive scale-up with
-//! cold starts, iteration-level batched serving, and TTFT tail metrics.
+//! queueing scale: Poisson or bursty arrivals, cold starts, iteration-level
+//! batched serving, and TTFT tail metrics.
 //!
-//! Above the per-instance simulator sits the fleet layer ([`cluster`]):
-//! `N` simulated GPU workers, a pluggable [`Scheduler`] (round-robin,
-//! least-loaded, cold-start-aware with §6 artifact-cache locality, and a
+//! One event loop ([`cluster`]) drives everything: `N` simulated GPU
+//! workers, a pluggable [`Scheduler`] (round-robin, least-loaded,
+//! cold-start-aware with §6 artifact-cache locality, and a
 //! ServerlessLLM-style start-cost locality policy), and an autoscaler with
-//! keep-alive, scale-to-zero, and backlog-triggered scale-up. The
-//! [`predict`] module adds the proactive side: keep-alive/prewarm
-//! estimators fed by per-model arrival history that start nodes *before*
-//! a forecast burst, and [`ClusterSpec::pipeline_k`] shards one cold
-//! start across several nodes pipeline-parallel (HydraServe/ParaServe
-//! style), serving the first token when the first stage is live. The
-//! fleet answers routing decisions from indices it keeps current as nodes
-//! change ([`routing`]) instead of scanning every node.
+//! keep-alive, scale-to-zero, and backlog-triggered scale-up. The paper's
+//! §7.5 testbed — 4 GPUs, a warm container pool, reactive scale-up — is
+//! `ClusterSpec::uniform(4)` with a fetch-free [`FleetProfile::from_perf`]
+//! under [`Policy::Locality`]. The [`predict`] module adds the proactive
+//! side: keep-alive/prewarm estimators fed by per-model arrival history
+//! that start nodes *before* a forecast burst, and
+//! [`ClusterSpec::pipeline_k`] shards one cold start across several nodes
+//! pipeline-parallel (HydraServe/ParaServe style), serving the first token
+//! when the first stage is live. The fleet answers routing decisions from
+//! indices it keeps current as nodes change ([`routing`]) instead of
+//! scanning every node.
 //!
 //! ## Example
 //!
@@ -28,7 +31,7 @@
 //! use medusa::Strategy;
 //! use medusa_gpu::{CostModel, GpuSpec};
 //! use medusa_model::ModelSpec;
-//! use medusa_serving::{simulate, ClusterConfig, PerfModel};
+//! use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
 //! use medusa_workload::TraceConfig;
 //!
 //! # fn main() -> Result<(), medusa::MedusaError> {
@@ -41,9 +44,10 @@
 //!     None,
 //!     1,
 //! )?;
+//! let profile = FleetProfile::from_perf(Strategy::Vanilla, perf);
 //! let trace = TraceConfig::sharegpt(2.0, 60.0).with_seed(1).generate();
-//! let result = simulate(&perf, &ClusterConfig::default(), &trace);
-//! println!("p99 TTFT: {}", result.ttft_quantile(0.99));
+//! let out = simulate_fleet(&profile, &ClusterSpec::uniform(4), Policy::Locality, &trace);
+//! println!("p99 TTFT: {} us", out.report.ttft_p99_us);
 //! # Ok(())
 //! # }
 //! ```
@@ -51,14 +55,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
+#[cfg(test)]
+mod analytic;
 pub mod cluster;
 pub mod event;
 mod params;
 pub mod predict;
 pub mod routing;
 pub mod scenarios;
-mod sim;
 
 pub use cluster::{
     simulate_fleet, simulate_fleet_traced, AutoscalerConfig, CacheCapacity, CacheConfig,
@@ -68,12 +72,7 @@ pub use cluster::{
     Policy, PrewarmReport, Registry, RegistryCatalog, RegistryMode, RegistryReport, RoundRobin,
     Scheduler, ServerlessLlmLocality, TenantReport, WholeArtifact,
 };
-// The pre-trait policy name stays re-exported for one release so
-// downstream callers migrate on their own schedule.
-#[allow(deprecated)]
-pub use cluster::RegistryPolicy;
 pub use event::{EventQueue, EventToken, FleetEvent};
 pub use params::PerfModel;
 pub use predict::{PrewarmConfig, PrewarmDecision, PrewarmEstimator, PrewarmPolicy};
 pub use routing::{NodeSetup, RouteQuery, RoutingState};
-pub use sim::{simulate, simulate_traced, ClusterConfig, SimResult};
