@@ -55,18 +55,6 @@ prune_stale() {
   rm -f target/golden.diff target/BENCH_*.json
 }
 
-run_bench_smoke() {
-  # One bench invocation feeds both perf-smoke and mt-smoke; skip if a
-  # prior gate in this run already produced the outputs (prune_stale
-  # guarantees they are from this run, not a stale one).
-  if [ ! -f target/BENCH_cluster_multitenant.json ]; then
-    cargo bench -q -p medusa-bench --bench micro -- --smoke \
-      --out "$PWD/target/BENCH_coldstart.json" \
-      --out-cluster "$PWD/target/BENCH_cluster.json" \
-      --out-cluster-mt "$PWD/target/BENCH_cluster_multitenant.json"
-  fi
-}
-
 gate_golden() {
   echo "==> event-core differential gate (golden ClusterReports)"
   # Regenerate the seed x scheduler x fault matrix into a scratch dir and
@@ -81,57 +69,45 @@ gate_golden() {
   echo "    all golden reports byte-identical"
 }
 
+check_bench() {
+  # Runs the bench the committed baseline names, writes the fresh record
+  # to target/ (CI uploads it when the gate fails), then gates it against
+  # the baseline with the rules the record carries.
+  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
+    check "results/BENCH_$1.json" --out "target/BENCH_$1.json"
+}
+
 gate_perf_smoke() {
   echo "==> perf smoke (simulated makespans vs committed baselines)"
-  run_bench_smoke
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare target/BENCH_coldstart.json results/BENCH_coldstart.json
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare-cluster target/BENCH_cluster.json results/BENCH_cluster.json
+  check_bench coldstart
+  check_bench cluster
 }
 
 gate_mt_smoke() {
   echo "==> multi-tenant perf smoke (per-tenant p99 invariant + cache-hit floor)"
-  run_bench_smoke
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare-cluster target/BENCH_cluster_multitenant.json \
-    results/BENCH_cluster_multitenant.json
+  check_bench cluster_multitenant
 }
 
 gate_artifact() {
   echo "==> MAF2 artifact size sweep (release; byte-exact baseline + O(header) + speedup floor)"
   # The sweep times JSON parse vs MAF2 open on this host, so it runs the
   # release binary; the byte counts it gates are machine-independent.
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-artifact results/BENCH_artifact.json
+  check_bench artifact
 }
 
 gate_scale_smoke() {
   echo "==> large-fleet scale smoke (release, wall-clock budget)"
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- scale-smoke --budget-s 120
+  cargo run --release -q -p medusa-bench --bin ci-check-bench -- scale-smoke
 }
 
 gate_policy_race() {
   echo "==> policy race (predictive prewarm + locality + pipeline vs reactive baseline)"
-  # Re-races the pinned policy matrix and gates TTFT percentiles, prewarm
-  # waste, and the strict ordering invariants against the committed
-  # baseline. The fresh race is written to target/ first so CI can upload
-  # it as an artifact when the gate fails.
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-policies results/BENCH_policies.json \
-    --out "$PWD/target/BENCH_policies.json"
+  check_bench policies
 }
 
 gate_registry() {
   echo "==> registry bench (content-addressed chunk fetches vs whole-artifact control)"
-  # Re-packs the fine-tune family into the chunk store, replays the Zipf
-  # fleet trace through both registry backends, and gates the byte-exact
-  # counters, the >=2x fetch-byte and dedup floors, and TTFT parity
-  # against the committed baseline. The fresh run is written to target/
-  # first so CI can upload it as an artifact when the gate fails.
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-registry results/BENCH_registry.json \
-    --out "$PWD/target/BENCH_registry.json"
+  check_bench registry
 }
 
 if [ "$GATE" != "all" ]; then
