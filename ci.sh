@@ -168,6 +168,11 @@ echo "    none found"
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench (its own workspace: compile + unit tests)"
+# perfbench/ sits outside the workspace; this keeps a public-API change
+# from silently breaking the repo benchmark.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 prune_stale
 
 gate_golden
