@@ -138,9 +138,12 @@ fn scale_smoke(args: &[String]) -> Result<(), String> {
     let record = smoke::run_scale(nodes, rps);
     let verdict = check(&record, &record)?;
     let value = |name| record.value(name).unwrap_or(0);
+    let per_host_s = |n: u64| n as f64 * 1000.0 / value("wall_ms").max(1) as f64;
     println!(
-        "ci-check-bench: OK: {verdict}\n  {:.0} medusa-side events/s over the whole run",
-        value("medusa_events") as f64 * 1000.0 / value("wall_ms").max(1) as f64
+        "ci-check-bench: OK: {verdict}\n  {:.0} medusa-side events/s over the whole run\n  \
+         {:.0} simulated requests per host second (both fleets, whole run)",
+        per_host_s(value("medusa_events")),
+        per_host_s(2 * value("offered")),
     );
     Ok(())
 }

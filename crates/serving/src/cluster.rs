@@ -39,17 +39,33 @@
 //! scratch every time.
 //!
 //! The whole layer runs on the discrete-event core in [`crate::event`]:
-//! one [`EventQueue`] keyed by `(sim_time, seq)` drives every state
+//! one [`EventQueue`] keyed by `(sim_time, order, seq)` drives every state
 //! transition through a typed [`FleetEvent`], same-timestamp events fire
 //! in insertion order, and retractable futures (keep-alive expiries,
 //! crashed starts' stage completions) are cancelled instead of firing
 //! stale. The deterministic event order makes same-trace runs produce
 //! **byte-identical** reports and telemetry exports — which is what lets
 //! CI gate this layer — and the handler structure keeps the per-event
-//! cost flat, so thousand-node, multi-million-event fleets simulate in
-//! wall-clock seconds.
+//! cost flat, so thousand-node fleets simulate in wall-clock seconds.
+//!
+//! Two shortcuts keep the event count per request small without moving
+//! any simulated number:
+//!
+//! * **Decode runs.** A node decoding an unchanged batch runs a chain of
+//!   identical decode steps; the simulator schedules one
+//!   [`FleetEvent::IterationDone`] at the end of the chain (the start of
+//!   the step in which a sequence finishes) and applies the steps in
+//!   between in closed form. A run is cut short, back to the per-step
+//!   schedule, wherever a step boundary could act: a request placed on
+//!   the node, a drain that could place work, or another event due at
+//!   the same nanosecond and order as a boundary (see `FleetSim::cut`).
+//! * **Clean drains.** Routing is a pure function of routing-relevant
+//!   state (node slots, KV, cache and chunk residency, the queue). A
+//!   drain that placed nothing and started nothing marks the fleet clean;
+//!   any change to that state marks it dirty; a drain on a clean fleet
+//!   returns at once.
 
-use crate::event::{EventQueue, EventToken, FleetEvent};
+use crate::event::{EventQueue, EventToken, FleetEvent, Order};
 use crate::params::PerfModel;
 use crate::predict::{PrewarmConfig, PrewarmEstimator};
 use crate::routing::{RouteQuery, Router};
@@ -61,7 +77,8 @@ use medusa_model::ModelSpec;
 use medusa_telemetry::Registry as TelemetryRegistry;
 use medusa_workload::{fingerprint, Request};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Modeled fabric bandwidth for registry fetches, bytes/second (100 Gb/s,
 /// a stock ML-cluster NIC — the materialized `<GPU type, model type>`
@@ -981,6 +998,11 @@ pub enum Decision {
 /// defer to the slice methods; a policy overrides them with
 /// [`RouteQuery`] lookups that must decide exactly as its slice methods
 /// would.
+///
+/// A decision must depend only on what the query shows, and a policy may
+/// change its own state only when it places (returns a node). The fleet
+/// relies on this to skip a drain over state that has not changed since a
+/// drain that placed nothing: that drain would decide the same again.
 pub trait Scheduler {
     /// Policy name (embedded in reports and telemetry).
     fn name(&self) -> &'static str;
@@ -1500,6 +1522,9 @@ impl ClusterReport {
 pub struct FleetStats {
     /// Events the simulation loop processed.
     pub events_processed: u64,
+    /// Events processed per [`FleetEvent`] variant, indexed by
+    /// [`FleetEvent::kind`] (names in [`FleetEvent::KIND_NAMES`]).
+    pub events_by_kind: [u64; FleetEvent::KINDS],
     /// Events retracted before firing (cancelled keep-alives, crashed
     /// starts' stage completions).
     pub events_cancelled: u64,
@@ -1514,6 +1539,18 @@ pub struct FleetStats {
     /// Whether the run stopped at the drain horizon with events still
     /// pending (as opposed to draining the queue dry).
     pub horizon_truncated: bool,
+}
+
+impl FleetStats {
+    /// `(variant name, count)` of every [`FleetEvent`] kind the run
+    /// processed at least once, in [`FleetEvent::KIND_NAMES`] order.
+    pub fn event_kinds(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        FleetEvent::KIND_NAMES
+            .iter()
+            .zip(self.events_by_kind)
+            .filter(|&(_, n)| n > 0)
+            .map(|(&name, n)| (name, n))
+    }
 }
 
 /// Full outcome of one fleet simulation: the serializable report plus the
@@ -1566,6 +1603,63 @@ struct RunningSeq {
     model: u32,
 }
 
+/// A decode run: batched decode steps of one node, back to back with the
+/// same batch, whose boundaries after the first are never visited. Step
+/// `j` starts at `t0 + j·step`; the run's [`FleetEvent::IterationDone`]
+/// fires at `end`, the first boundary the node must act on.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Start of the run's first step, an instant the loop processed.
+    t0: u64,
+    /// Duration of every step of the run, ns (> 0).
+    step: u64,
+    /// Boundary the run's event fires at.
+    end: u64,
+    /// Tie the first step's completion took when the run started at `t0`
+    /// (below every tie given out later).
+    root_tie: u64,
+}
+
+impl Run {
+    /// Step boundaries the run crossed before `t` without visiting them.
+    fn skipped_before(&self, t: u64) -> u64 {
+        ((t - self.t0) / self.step).saturating_sub(1)
+    }
+
+    /// The run's first boundary the per-step loop would not have
+    /// processed yet, while the event of order `cur` at `now` is being
+    /// handled. A boundary at `now` itself comes later exactly when its
+    /// completion sorts after `cur`.
+    fn next_boundary(&self, now: u64, cur: Order) -> u64 {
+        let since = now - self.t0;
+        let (j, into) = (since / self.step, since % self.step);
+        if into == 0 && j > 0 && now < self.end {
+            let at_now = self.order_at(now);
+            debug_assert!(
+                cur.sched_ns != at_now.sched_ns || at_now.sched_ns == self.t0,
+                "an event shares the order of a skipped decode boundary"
+            );
+            if cur < at_now {
+                return now;
+            }
+        }
+        (self.t0 + (j + 1) * self.step).min(self.end)
+    }
+
+    /// The order the per-step loop would have given the completion at
+    /// boundary `b`: scheduled one step earlier. Scheduled at `t0`, it
+    /// took `root_tie` there. Scheduled at a skipped boundary, it is the
+    /// first of its order: any event scheduled at that instant with the
+    /// same delay would have cut the run before it (see `FleetSim::cut`),
+    /// and every tie given out after `t0` is above `root_tie`.
+    fn order_at(&self, b: u64) -> Order {
+        Order {
+            sched_ns: b - self.step,
+            tie: self.root_tie,
+        }
+    }
+}
+
 /// One resident artifact of a node-local cache.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CacheEntry {
@@ -1580,7 +1674,6 @@ pub(crate) struct CacheEntry {
 pub(crate) struct Node {
     spec: NodeSpec,
     pub(crate) state: NodeState,
-    busy: bool,
     pub(crate) pending: VecDeque<usize>,
     running: Vec<RunningSeq>,
     pub(crate) kv_tokens: u64,
@@ -1628,6 +1721,13 @@ pub(crate) struct Node {
     /// Helper nodes currently restoring shards for *this* node's
     /// pipeline-parallel cold start (this node is the head).
     pipeline_members: Vec<usize>,
+    /// Pending [`FleetEvent::IterationDone`] (prefill or decode run): the
+    /// node is busy exactly while one is armed.
+    iteration: Option<EventToken>,
+    /// The decode run in flight, if the node is decoding.
+    run: Option<Run>,
+    /// Cohort of the node's current decode steps: `(step, t mod step)`.
+    lane: Option<(u64, u64)>,
 }
 
 impl Node {
@@ -1648,7 +1748,6 @@ impl Node {
         Node {
             spec,
             state: NodeState::Cold,
-            busy: false,
             pending: VecDeque::new(),
             running: Vec::new(),
             kv_tokens: 0,
@@ -1669,11 +1768,33 @@ impl Node {
             prewarmed: false,
             pipeline_head: None,
             pipeline_members: Vec::new(),
+            iteration: None,
+            run: None,
+            lane: None,
         }
     }
 
     pub(crate) fn load(&self) -> usize {
         self.pending.len() + self.running.len()
+    }
+
+    /// Whether an iteration (prefill or decode run) is in flight.
+    fn busy(&self) -> bool {
+        self.iteration.is_some()
+    }
+
+    /// Accounts `n` batched decode steps of `step` ns each that changed
+    /// no batch: every running sequence is `n` tokens closer to done.
+    fn decode_steps(&mut self, n: u64, step: u64) {
+        if n == 0 {
+            return;
+        }
+        for s in &mut self.running {
+            s.remaining -= n as u32;
+            debug_assert!(s.remaining > 0, "a skipped decode step finished a sequence");
+        }
+        self.busy_ns += n * step;
+        self.work_ns += n * step * self.spec.tp as u64;
     }
 
     pub(crate) fn cache_holds(&self, model: u32) -> bool {
@@ -1760,6 +1881,49 @@ struct FleetSim<'a> {
     /// many nodes when ≥ 2 (and the strategy materializes artifacts).
     pipeline_k: u32,
     pipeline_starts: u64,
+    /// Whether a drain now would place nothing and start nothing: set by
+    /// a drain that did neither, cleared by any change to routing-relevant
+    /// state (a node's slot, cache or chunk residency, the queue).
+    clean: bool,
+    /// Decode cohorts: nodes whose current steps have the same length and
+    /// the same phase, so their boundaries fall on the same instants.
+    /// Keyed by `(step, t mod step)`; holds the member count and the XOR of
+    /// the member ids (the sole member's id when the count is 1).
+    lanes: HashMap<(u64, u64), (u32, usize), BuildHasherDefault<PairHasher>>,
+    /// Routing-state fingerprint taken at the last drain that set `clean`.
+    #[cfg(debug_assertions)]
+    clean_print: u64,
+    /// Pending [`FleetEvent::IterationDone`]s per node.
+    #[cfg(debug_assertions)]
+    armed: Vec<u32>,
+}
+
+/// Hasher for the decode-cohort map's `(u64, u64)` keys.
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Caps every decode run at one step and runs every drain in full:
+    /// the loop as it ran before runs and clean drains, the differential
+    /// oracle of both.
+    static PER_STEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Telemetry names of one node's histograms.
@@ -1780,9 +1944,26 @@ struct TenantStat {
 
 impl FleetSim<'_> {
     /// Re-indexes node `i` after its state, model, load or helper role
-    /// changed.
+    /// changed; a real change dirties the fleet.
     fn sync(&mut self, i: usize) {
-        self.router.sync(i, &self.nodes[i]);
+        if self.router.sync(i, &self.nodes[i]) {
+            self.clean = false;
+        }
+    }
+
+    /// Schedules `ev` at `t`. If it lands exactly one step after now on
+    /// the boundaries of a decode cohort, it shares its order with that
+    /// cohort's next completion; the cohort's skipping run is cut there
+    /// so both fire as in the per-step schedule (see [`FleetSim::cut`]).
+    fn schedule(&mut self, t: u64, ev: FleetEvent) -> EventToken {
+        let now = self.events.now();
+        let delay = t - now;
+        if delay > 0 {
+            if let Some(&(1, member)) = self.lanes.get(&(delay, now % delay)) {
+                self.cut(member);
+            }
+        }
+        self.events.schedule(t, ev)
     }
 
     /// Asks `sched` where request `r` goes.
@@ -1847,7 +2028,9 @@ impl FleetSim<'_> {
         }
         // Content-addressed residency tracks the cache.
         node.refresh_chunks(&self.cluster.registry_mode, profile);
-        self.router.sync_cache(i, &self.nodes[i]);
+        if self.router.sync_cache(i, &self.nodes[i]) {
+            self.clean = false;
+        }
     }
 
     /// Begins a cold start of `model` on node `i` at time `t`.
@@ -2016,8 +2199,7 @@ impl FleetSim<'_> {
             let roll = roll_per_mille(faults.seed ^ 0xc7a5_11fe, i, self.nodes[i].cold_starts, 0);
             if roll < faults.node_crash_per_mille {
                 let crash_at = t + (retry_ns + makespan_ns) / 2;
-                self.events
-                    .schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
+                self.schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
             }
         }
         // The start's whole stage timeline is determined here (every fault
@@ -2025,14 +2207,12 @@ impl FleetSim<'_> {
         // the registry fetch (cache-miss Medusa starts only), then the
         // restore whose completion makes the node ready.
         let fetch_tok = (needs_fetch && !degraded).then(|| {
-            self.events.schedule(
+            self.schedule(
                 t + retry_ns + fetch_ns,
                 FleetEvent::RegistryFetchDone { node: i, epoch },
             )
         });
-        let ready_tok = self
-            .events
-            .schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
+        let ready_tok = self.schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
         let node = &mut self.nodes[i];
         node.stage_fetch = fetch_tok;
         node.stage_ready = Some(ready_tok);
@@ -2208,19 +2388,16 @@ impl FleetSim<'_> {
             let roll = roll_per_mille(faults.seed ^ 0xc7a5_11fe, i, head_cold_starts, 0);
             if roll < faults.node_crash_per_mille {
                 let crash_at = t + (retry_ns + stage_span) / 2;
-                self.events
-                    .schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
+                self.schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
             }
         }
         let fetch_tok = (needs_fetch && !degraded).then(|| {
-            self.events.schedule(
+            self.schedule(
                 t + retry_ns + fetch_ns / k_eff,
                 FleetEvent::RegistryFetchDone { node: i, epoch },
             )
         });
-        let ready_tok = self
-            .events
-            .schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
+        let ready_tok = self.schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
         {
             let node = &mut self.nodes[i];
             node.stage_fetch = fetch_tok;
@@ -2239,7 +2416,7 @@ impl FleetSim<'_> {
                 helper.work_ns += share;
                 helper.epoch
             };
-            let tok = self.events.schedule(
+            let tok = self.schedule(
                 done,
                 FleetEvent::PipelineShardDone {
                     node: h,
@@ -2257,7 +2434,7 @@ impl FleetSim<'_> {
                     roll_per_mille(faults.seed ^ 0xc7a5_11fe, h, head_cold_starts, j as u32 + 1);
                 if roll < faults.node_crash_per_mille {
                     let mid = t + retry_ns + (j as u64 + 1) * stage_span + stage_span / 2;
-                    self.events.schedule(
+                    self.schedule(
                         mid,
                         FleetEvent::NodeCrash {
                             node: h,
@@ -2301,9 +2478,11 @@ impl FleetSim<'_> {
             );
         }
         let node = &self.nodes[i];
-        if node.state == NodeState::Warm && !node.busy {
-            self.events.schedule(t, FleetEvent::Route { node: i });
+        if node.state == NodeState::Warm && !node.busy() {
+            self.schedule(t, FleetEvent::Route { node: i });
         }
+        // A decoding node prefills the new request at its next boundary.
+        self.cut(i);
     }
 
     /// Routes as much of the global queue as the policy will place, then
@@ -2316,7 +2495,19 @@ impl FleetSim<'_> {
     /// Multi-tenant traces route with skip-ahead instead: a head whose
     /// model has no live affine node must not stall tenants whose warm
     /// nodes sit idle behind it.
+    ///
+    /// A drain that placed nothing and started nothing marks the fleet
+    /// clean, and a drain on a clean fleet returns at once: routing is a
+    /// pure function of the state it reads, so it would decide the same.
     fn drain(&mut self, t: u64, sched: &mut dyn Scheduler) {
+        #[cfg(test)]
+        if PER_STEP.with(std::cell::Cell::get) {
+            self.clean = false;
+        }
+        if self.clean {
+            return;
+        }
+        let mut acted = false;
         if self.multi_tenant {
             let mut idx = 0;
             while idx < self.queue.len() {
@@ -2325,6 +2516,7 @@ impl FleetSim<'_> {
                     Decision::Node(i) => {
                         self.queue.remove(idx);
                         self.place(t, r, i);
+                        acted = true;
                     }
                     Decision::Queue => idx += 1,
                 }
@@ -2335,6 +2527,7 @@ impl FleetSim<'_> {
                     Decision::Node(i) => {
                         self.queue.pop_front();
                         self.place(t, r, i);
+                        acted = true;
                     }
                     Decision::Queue => break,
                 }
@@ -2367,8 +2560,18 @@ impl FleetSim<'_> {
             let need = kv_need(&self.trace[r]);
             let pick = sched.pick_cold_indexed(&self.router.query(&self.nodes, need, model));
             match pick {
-                Some(i) => self.start_cold(t, i, model),
+                Some(i) => {
+                    self.start_cold(t, i, model);
+                    acted = true;
+                }
                 None => break,
+            }
+        }
+        if !acted {
+            self.clean = true;
+            #[cfg(debug_assertions)]
+            {
+                self.clean_print = self.routing_print();
             }
         }
     }
@@ -2386,7 +2589,7 @@ impl FleetSim<'_> {
         // arrival (re-anchored on every observation).
         if let Some(est) = self.estimator.as_mut() {
             if let Some(d) = est.observe(t, self.trace[r].model) {
-                self.events.schedule(
+                self.schedule(
                     d.t_ns,
                     FleetEvent::ScaleDecision {
                         prewarm: Some(d.model),
@@ -2395,6 +2598,7 @@ impl FleetSim<'_> {
             }
         }
         self.queue.push_back(r);
+        self.clean = false;
         self.drain(t, sched);
     }
 
@@ -2434,7 +2638,7 @@ impl FleetSim<'_> {
             self.cache_insert(t, i, model);
         }
         self.sync(i);
-        self.events.schedule(t, FleetEvent::Route { node: i });
+        self.schedule(t, FleetEvent::Route { node: i });
         self.drain(t, sched);
     }
 
@@ -2495,6 +2699,7 @@ impl FleetSim<'_> {
         for r in rerouted.into_iter().rev() {
             self.queue.push_front(r);
         }
+        self.clean = false;
         self.drain(t, sched);
     }
 
@@ -2512,7 +2717,7 @@ impl FleetSim<'_> {
         // path.
         if scale
             && node.state == NodeState::Warm
-            && !node.busy
+            && !node.busy()
             && node.pending.is_empty()
             && node.running.is_empty()
             && node
@@ -2583,8 +2788,7 @@ impl FleetSim<'_> {
                 if let Some(interval_s) = self.cluster.autoscaler.eval_interval_s {
                     let step = (interval_s * 1e9) as u64;
                     if step > 0 {
-                        self.events
-                            .schedule(t + step, FleetEvent::ScaleDecision { prewarm: None });
+                        self.schedule(t + step, FleetEvent::ScaleDecision { prewarm: None });
                     }
                 }
             }
@@ -2623,21 +2827,26 @@ impl FleetSim<'_> {
     /// [`FleetEvent::Route`]: the node re-examines its run queue and
     /// starts an iteration unless one is already in flight.
     fn on_route(&mut self, t: u64, i: usize) {
-        if !self.nodes[i].busy {
+        if !self.nodes[i].busy() {
             self.iteration(t, i);
         }
     }
 
-    /// [`FleetEvent::IterationDone`]: the iteration's time elapsed; give
-    /// the scheduler a chance to top the node up, then iterate again.
+    /// [`FleetEvent::IterationDone`]: the iteration's time elapsed (for a
+    /// decode run, every step up to this boundary); give the scheduler a
+    /// chance to top the node up, then iterate again.
     fn on_iteration_done(&mut self, t: u64, i: usize, sched: &mut dyn Scheduler) {
-        self.nodes[i].busy = false;
+        let node = &mut self.nodes[i];
+        node.iteration = None;
+        if let Some(run) = node.run.take() {
+            node.decode_steps(run.skipped_before(t), run.step);
+        }
         self.drain(t, sched);
         self.iteration(t, i);
     }
 
     /// One serving iteration on node `i` at time `t`: prefill one pending
-    /// request, else run one batched decode step, else go idle and arm the
+    /// request, else start a decode run, else go idle and arm the
     /// keep-alive countdown.
     fn iteration(&mut self, t: u64, i: usize) {
         let profile = self.profile;
@@ -2684,13 +2893,13 @@ impl FleetSim<'_> {
                 }
                 self.makespan_ns = self.makespan_ns.max(end);
             }
-            node.busy = true;
             node.busy_ns += dur;
             node.work_ns += dur * node.spec.tp as u64;
-            self.events
-                .schedule(end, FleetEvent::IterationDone { node: i });
+            self.leave_lane(i);
+            let tok = self.schedule(end, FleetEvent::IterationDone { node: i });
+            self.arm_iteration(i, tok);
         } else if !node.running.is_empty() {
-            // Batched decode step.
+            // Batched decode step: the first step of a run.
             let dur = perf.decode_duration(node.running.len() as u32).as_nanos();
             let end = t + dur;
             for s in &mut node.running {
@@ -2715,18 +2924,25 @@ impl FleetSim<'_> {
                 self.completed += finished;
                 self.makespan_ns = self.makespan_ns.max(end);
             }
-            node.busy = true;
             node.busy_ns += dur;
             node.work_ns += dur * node.spec.tp as u64;
-            self.events
-                .schedule(end, FleetEvent::IterationDone { node: i });
+            // The batch stays the same up to the step in which the next
+            // sequence finishes, and so does every step's duration —
+            // unless this step shrank the batch into another duration.
+            let steps = match node.running.iter().map(|s| s.remaining).min() {
+                Some(m) if finished == 0 => m,
+                Some(m) if perf.decode_duration(node.running.len() as u32).as_nanos() == dur => m,
+                _ => 1,
+            };
+            self.start_run(t, i, dur, steps);
         } else {
             // Idle: arm the keep-alive countdown. When scale-to-zero is
             // off the expiry could never fire anyway, so don't schedule
             // one at all.
             node.idle_since = Some(t);
+            self.leave_lane(i);
             if self.cluster.autoscaler.scale_to_zero {
-                let tok = self.events.schedule(
+                let tok = self.schedule(
                     t + self.keep_alive_ns,
                     FleetEvent::KeepAliveExpiry { node: i },
                 );
@@ -2734,6 +2950,207 @@ impl FleetSim<'_> {
             }
         }
         self.sync(i);
+    }
+
+    /// Records `tok` as node `i`'s pending [`FleetEvent::IterationDone`].
+    fn arm_iteration(&mut self, i: usize, tok: EventToken) {
+        self.nodes[i].iteration = Some(tok);
+        #[cfg(debug_assertions)]
+        {
+            self.armed[i] += 1;
+        }
+    }
+
+    /// Retracts node `i`'s pending [`FleetEvent::IterationDone`].
+    fn disarm_iteration(&mut self, i: usize) {
+        if let Some(tok) = self.nodes[i].iteration.take() {
+            let retracted = self.events.cancel(tok);
+            #[cfg(debug_assertions)]
+            {
+                self.armed[i] -= retracted as u32;
+            }
+            debug_assert!(retracted, "node {i}: its iteration event already fired");
+        }
+    }
+
+    /// Starts node `i`'s decode run at `t0`: at most `steps` steps of
+    /// `step` ns with an unchanged batch, one event at the end. The run
+    /// skips boundaries only while the node is alone in its cohort;
+    /// otherwise it is one step long, exactly the per-step schedule.
+    fn start_run(&mut self, t0: u64, i: usize, step: u64, steps: u32) {
+        if step == 0 {
+            // Zero-length steps all share one instant: keep them per step.
+            self.leave_lane(i);
+            let tok = self.schedule(t0, FleetEvent::IterationDone { node: i });
+            self.arm_iteration(i, tok);
+            return;
+        }
+        let key = (step, t0 % step);
+        self.join_lane(i, key);
+        let mut steps = u64::from(steps.max(1));
+        if self.lanes[&key].0 > 1 {
+            steps = 1;
+        }
+        #[cfg(test)]
+        if PER_STEP.with(std::cell::Cell::get) {
+            steps = 1;
+        }
+        let run = Run {
+            t0,
+            step,
+            end: t0 + steps * step,
+            root_tie: self.events.next_order().tie,
+        };
+        let tok = self.events.schedule_ordered(
+            run.end,
+            run.order_at(run.end),
+            FleetEvent::IterationDone { node: i },
+        );
+        self.nodes[i].run = Some(run);
+        self.arm_iteration(i, tok);
+    }
+
+    /// Enters node `i` into decode cohort `key`. A cohort of two or more
+    /// runs one step at a time: its members' boundaries share instants and
+    /// order, so each must fire where the per-step loop fires it. A member
+    /// that ran alone so far is cut at its next boundary.
+    fn join_lane(&mut self, i: usize, key: (u64, u64)) {
+        if self.nodes[i].lane == Some(key) {
+            return;
+        }
+        self.leave_lane(i);
+        let entry = self.lanes.entry(key).or_insert((0, 0));
+        let alone = (entry.0 == 1).then_some(entry.1);
+        entry.0 += 1;
+        entry.1 ^= i;
+        self.nodes[i].lane = Some(key);
+        if let Some(other) = alone {
+            self.cut(other);
+        }
+    }
+
+    /// Takes node `i` out of its decode cohort, if any.
+    fn leave_lane(&mut self, i: usize) {
+        let Some(key) = self.nodes[i].lane.take() else {
+            return;
+        };
+        let entry = self.lanes.get_mut(&key).expect("a member's cohort exists");
+        entry.0 -= 1;
+        entry.1 ^= i;
+        if entry.0 == 0 {
+            self.lanes.remove(&key);
+        }
+    }
+
+    /// Makes node `i`'s next unvisited decode boundary an event, so the
+    /// loop processes it as the per-step loop would have. Needed wherever
+    /// a boundary could act or be ordered against something: a request
+    /// placed on the node (it prefills there), a drain that could place
+    /// work ([`FleetSim::wake`]), or another event scheduled with the
+    /// same order as one of the node's boundaries ([`FleetSim::schedule`],
+    /// [`FleetSim::join_lane`]). A boundary at the current instant that
+    /// the per-step loop would process after the current event fires now;
+    /// one it would already have processed is past, so the next one fires.
+    fn cut(&mut self, i: usize) {
+        let Some(run) = self.nodes[i].run else {
+            return;
+        };
+        let b = run.next_boundary(self.events.now(), self.events.current());
+        if b < run.end {
+            self.rearm(i, b);
+        }
+    }
+
+    /// Moves node `i`'s run event to boundary `b` of its run.
+    fn rearm(&mut self, i: usize, b: u64) {
+        let run = self.nodes[i].run.as_mut().expect("a run to cut");
+        run.end = b;
+        let order = run.order_at(b);
+        self.disarm_iteration(i);
+        let tok = self
+            .events
+            .schedule_ordered(b, order, FleetEvent::IterationDone { node: i });
+        self.arm_iteration(i, tok);
+    }
+
+    /// While the fleet is dirty and requests wait, the per-step loop's
+    /// next decode boundary anywhere would drain and might place: cut the
+    /// earliest unvisited boundary, unless a run already ends there. (A
+    /// scan of the fleet; the state it answers is rare in a large fleet.)
+    fn wake(&mut self) {
+        let (now, cur) = (self.events.now(), self.events.current());
+        let next = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| {
+                let run = n.run?;
+                let b = run.next_boundary(now, cur);
+                Some((b, run.order_at(b), i))
+            })
+            .min();
+        if let Some((_, _, i)) = next {
+            self.cut(i);
+        }
+    }
+
+    /// Routing-state fingerprint: what a drain reads.
+    #[cfg(debug_assertions)]
+    fn routing_print(&self) -> u64 {
+        use std::hash::Hash;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for n in &self.nodes {
+            (n.state as u8, n.model, n.load(), n.pipeline_head.is_some()).hash(&mut h);
+            n.kv_tokens.hash(&mut h);
+            n.cache.iter().for_each(|e| e.model.hash(&mut h));
+            n.chunks.hash(&mut h);
+        }
+        self.queue.hash(&mut h);
+        h.finish()
+    }
+
+    /// Per-event invariants of the serving layer (debug builds): every
+    /// busy node holds exactly one pending iteration event and no other
+    /// node holds one, KV reservations add up and stay within capacity,
+    /// and a clean fleet's routing state is the one its last drain saw.
+    #[cfg(debug_assertions)]
+    fn audit(&self) {
+        let capacity = self.profile.perf.kv_capacity_tokens;
+        for (i, n) in self.nodes.iter().enumerate() {
+            let busy = n.busy();
+            assert_eq!(
+                self.armed[i], busy as u32,
+                "node {i}: {} pending iteration events, busy {busy}",
+                self.armed[i]
+            );
+            assert!(
+                n.iteration.is_none_or(|tok| self.events.is_pending(tok))
+                    && (!busy || n.state == NodeState::Warm),
+                "node {i}: a {:?} node's iteration event is not pending",
+                n.state
+            );
+            assert!(n.run.is_none() || busy, "node {i}: a run on an idle node");
+            let held: u64 = n
+                .pending
+                .iter()
+                .map(|&r| kv_need(&self.trace[r]))
+                .chain(n.running.iter().map(|s| s.kv_reserved))
+                .sum();
+            assert_eq!(n.kv_tokens, held, "node {i}: KV reservations drifted");
+            // An empty node admits one request whatever its size.
+            assert!(
+                n.kv_tokens <= capacity || n.load() <= 1,
+                "node {i}: {} KV tokens over the {capacity}-token capacity",
+                n.kv_tokens
+            );
+        }
+        if self.clean && !self.queue.is_empty() {
+            assert_eq!(
+                self.routing_print(),
+                self.clean_print,
+                "the fleet is marked clean but its routing state changed since its last drain"
+            );
+        }
     }
 }
 
@@ -2838,6 +3255,12 @@ pub fn simulate_fleet_traced(
         prewarms_unused: 0,
         pipeline_k,
         pipeline_starts: 0,
+        clean: false,
+        lanes: HashMap::default(),
+        #[cfg(debug_assertions)]
+        clean_print: 0,
+        #[cfg(debug_assertions)]
+        armed: vec![0; cluster.nodes.len()],
     };
     if multi_tenant {
         // Pre-populate so tenants whose every request times out still show
@@ -2846,27 +3269,66 @@ pub fn simulate_fleet_traced(
             sim.tenant_stats.entry(r.model).or_default().offered += 1;
         }
     }
-    for (i, r) in trace.iter().enumerate() {
-        sim.events
-            .schedule(r.arrival_ns, FleetEvent::Arrival { req: i });
-    }
+    // Arrivals stream from the trace instead of waiting in the heap. They
+    // sort as if all were scheduled up front, in trace order: before any
+    // other event due at the same nanosecond.
+    let in_order = trace.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns);
+    let by_time: Vec<usize> = if in_order {
+        Vec::new()
+    } else {
+        let mut v: Vec<usize> = (0..trace.len()).collect();
+        v.sort_by_key(|&r| trace[r].arrival_ns);
+        v
+    };
+    let mut arrivals = (0..trace.len()).map(|k| if in_order { k } else { by_time[k] });
+    let mut next_arrival = arrivals.next();
+    const ARRIVAL: Order = Order {
+        sched_ns: 0,
+        tie: 0,
+    };
     if let Some(interval_s) = cluster.autoscaler.eval_interval_s {
         let step = (interval_s * 1e9) as u64;
         if step > 0 {
-            sim.events
-                .schedule(step, FleetEvent::ScaleDecision { prewarm: None });
+            sim.schedule(step, FleetEvent::ScaleDecision { prewarm: None });
         }
     }
     let horizon = trace.last().map_or(0, |r| r.arrival_ns) + (cluster.drain_s * 1e9) as u64;
 
     let mut events_processed: u64 = 0;
+    let mut events_by_kind = [0u64; FleetEvent::KINDS];
     let mut truncated = false;
-    while let Some((t, ev)) = sim.events.pop() {
+    #[cfg(debug_assertions)]
+    let mut last_t = 0;
+    loop {
+        let queued = sim.events.peek_key();
+        let arrival =
+            next_arrival.filter(|&r| queued.is_none_or(|key| (trace[r].arrival_ns, ARRIVAL) < key));
+        let (t, ev) = match arrival {
+            Some(r) => {
+                next_arrival = arrivals.next();
+                let t = trace[r].arrival_ns;
+                sim.events.fire_external(t, ARRIVAL);
+                (t, FleetEvent::Arrival { req: r })
+            }
+            None => match sim.events.pop() {
+                Some(next) => next,
+                None => break,
+            },
+        };
         if t > horizon {
             truncated = true;
             break;
         }
         events_processed += 1;
+        events_by_kind[ev.kind()] += 1;
+        #[cfg(debug_assertions)]
+        {
+            assert!(t >= last_t, "event time ran backwards: {t} after {last_t}");
+            last_t = t;
+            if let FleetEvent::IterationDone { node } = ev {
+                sim.armed[node] -= 1;
+            }
+        }
         match ev {
             FleetEvent::Arrival { req } => sim.on_arrival(t, req, sched.as_mut()),
             FleetEvent::Route { node } => sim.on_route(t, node),
@@ -2884,10 +3346,24 @@ pub fn simulate_fleet_traced(
             }
             FleetEvent::IterationDone { node } => sim.on_iteration_done(t, node, sched.as_mut()),
         }
+        if !sim.clean && !sim.queue.is_empty() {
+            sim.wake();
+        }
         #[cfg(debug_assertions)]
-        sim.router.audit(&sim.nodes);
+        {
+            sim.router.audit(&sim.nodes);
+            sim.audit();
+        }
     }
-    let truncated = truncated || !sim.events.is_empty();
+    let truncated = truncated || !sim.events.is_empty() || next_arrival.is_some();
+    // Runs still in flight: the per-step loop started every step whose
+    // boundary it processed, i.e. those at or before the horizon.
+    for node in &mut sim.nodes {
+        if let Some(run) = node.run {
+            let seen = ((horizon - run.t0) / run.step).min(run.skipped_before(run.end));
+            node.decode_steps(seen, run.step);
+        }
+    }
     // Prewarmed nodes that never got work by the end of the run count as
     // waste too (a node a request landed on cleared the flag).
     sim.prewarms_unused += sim.nodes.iter().filter(|n| n.prewarmed).count() as u64;
@@ -2984,6 +3460,7 @@ pub fn simulate_fleet_traced(
         report,
         stats: FleetStats {
             events_processed,
+            events_by_kind,
             events_cancelled: sim.events.cancelled_total(),
             arrived: sim.arrived,
             queued_at_end: sim.queue.len(),
@@ -3930,5 +4407,273 @@ mod tests {
             !out.report.nodes[0].cached_at_end,
             "a degraded start materializes no chunks"
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Decode runs against the per-step schedule they stand in for.
+
+    /// Runs a fleet with decode runs and clean drains, and again the way
+    /// the loop ran before them — every run one step, every drain in full
+    /// — and asserts both agree on the report, every TTFT in order, both
+    /// telemetry exports, and every statistic but the event counts.
+    /// Returns the statistics with runs and the per-step event count.
+    fn assert_runs_match_steps(
+        label: &str,
+        profile: &FleetProfile,
+        cluster: &ClusterSpec,
+        policy: Policy,
+        trace: &[Request],
+    ) -> (FleetStats, u64) {
+        let run = |per_step: bool| {
+            PER_STEP.with(|c| c.set(per_step));
+            let tele = TelemetryRegistry::new();
+            let out = simulate_fleet_traced(profile, cluster, policy, trace, Some(&tele));
+            PER_STEP.with(|c| c.set(false));
+            let snap = tele.snapshot();
+            let exports = (
+                medusa_telemetry::export::chrome::render(&snap),
+                medusa_telemetry::export::prometheus::render(&snap),
+            );
+            (out, exports)
+        };
+        let (runs, runs_exports) = run(false);
+        let (steps, steps_exports) = run(true);
+        assert_eq!(
+            runs.report.to_json(),
+            steps.report.to_json(),
+            "{label}: report"
+        );
+        assert!(runs.ttfts == steps.ttfts, "{label}: TTFT samples differ");
+        let counts_aside = |s: FleetStats| FleetStats {
+            events_processed: 0,
+            events_cancelled: 0,
+            events_by_kind: [0; FleetEvent::KINDS],
+            ..s
+        };
+        assert_eq!(
+            counts_aside(runs.stats),
+            counts_aside(steps.stats),
+            "{label}: stats"
+        );
+        assert!(
+            runs_exports == steps_exports,
+            "{label}: telemetry exports differ"
+        );
+        assert_eq!(runs.conservation_residual(), 0, "{label}: requests leaked");
+        (runs.stats, steps.stats.events_processed)
+    }
+
+    #[test]
+    fn a_run_boundary_sorts_where_the_per_step_completion_would() {
+        let run = Run {
+            t0: 100,
+            step: 10,
+            end: 150,
+            root_tie: 7,
+        };
+        let order = |sched_ns, tie| Order { sched_ns, tie };
+        // The completion at 120 was scheduled at the skipped boundary 110,
+        // the one at 110 by the run's first step with its tie.
+        assert_eq!(run.order_at(120), order(110, 7));
+        assert_eq!(run.order_at(110), order(100, 7));
+        // At the first boundary, an event scheduled at `t0` before the
+        // run's first step sorts first: the boundary is still to come.
+        assert_eq!(run.next_boundary(110, order(100, 5)), 110);
+        assert_eq!(run.next_boundary(110, order(100, 9)), 120);
+        // At a skipped boundary the scheduling instant decides.
+        assert_eq!(run.next_boundary(130, order(0, 1)), 130);
+        assert_eq!(run.next_boundary(130, order(125, 1)), 140);
+        // Between boundaries, and never past the run's own event.
+        assert_eq!(run.next_boundary(100, order(90, 1)), 110);
+        assert_eq!(run.next_boundary(135, order(0, 1)), 140);
+        assert_eq!(run.next_boundary(145, order(0, 1)), 150);
+        assert_eq!(run.next_boundary(150, order(0, 1)), 150);
+        assert_eq!(run.skipped_before(150), 4);
+        assert_eq!(run.skipped_before(110), 0);
+    }
+
+    /// `trace` moved onto a whole-millisecond grid: arrivals, prefills
+    /// (prompts of 100 / 400 / 2048 tokens) and decode steps then share
+    /// instants all the time, and short outputs finish sequences often.
+    fn on_the_grid(mut trace: Vec<Request>) -> Vec<Request> {
+        for r in &mut trace {
+            r.arrival_ns -= r.arrival_ns % 1_000_000;
+            r.prompt_tokens = [100, 400, 2048][r.prompt_tokens as usize % 3];
+            r.output_tokens = r.output_tokens % 24 + 1;
+        }
+        trace
+    }
+
+    /// A four-model content-addressed catalog: every model shares two
+    /// template chunks and adds its own delta chunk.
+    fn family_catalog() -> RegistryCatalog {
+        let unit = |digest: u64, bytes: u64| FetchUnit { digest, bytes };
+        RegistryCatalog {
+            models: (0..4)
+                .map(|m| ModelManifest {
+                    units: vec![
+                        unit(0x7e_0000, 900_000_000),
+                        unit(0x7e_0001, 600_000_000),
+                        unit(0xde_0000 + m, 300_000_000),
+                    ],
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn decode_runs_match_the_per_step_schedule_on_the_golden_matrix() {
+        let (mut runs, mut steps) = (0, 0);
+        for s in crate::scenarios::differential_matrix() {
+            let (r, p) =
+                assert_runs_match_steps(&s.name, &s.profile, &s.cluster, s.policy, &s.trace);
+            runs += r.events_processed;
+            steps += p;
+        }
+        assert!(
+            runs * 5 < steps,
+            "decode runs should elide most events: {runs} vs {steps} per step"
+        );
+    }
+
+    #[test]
+    fn decode_runs_match_the_per_step_schedule_under_predictive_policies() {
+        let profile = medusa_profile(450, 250).with_scaled_models(4);
+        for policy in Policy::PREDICTIVE {
+            for seed in [3u64, 8] {
+                let cluster = ClusterSpec::uniform(5)
+                    .with_cached_prefix(1)
+                    .with_registry_mode(RegistryMode::ContentAddressed(family_catalog()))
+                    .with_cache(CacheConfig {
+                        capacity: CacheCapacity::Artifacts(2),
+                        eviction: EvictionPolicy::CostAware,
+                    })
+                    .with_keep_alive(1.5)
+                    .with_prewarm(PrewarmConfig::default());
+                let trace = TraceConfig::sharegpt(8.0, 40.0)
+                    .with_seed(seed)
+                    .with_pattern(ArrivalPattern::serverless_mmpp())
+                    .with_models(medusa_workload::ModelMix::zipf(4, 1.0))
+                    .generate();
+                let label = format!("{}-s{seed}", policy.build().name());
+                assert_runs_match_steps(&label, &profile, &cluster, policy, &trace);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_runs_match_the_per_step_schedule_on_grid_aligned_faulty_fleets() {
+        let mut perf = perf(400);
+        perf.strategy = Strategy::Medusa;
+        // A small KV pool and batch cap: placements land on decoding
+        // nodes mid-run and finished sequences free room all the time.
+        perf.kv_capacity_tokens = 6_000;
+        let profile = FleetProfile::from_perf(Strategy::Medusa, perf)
+            .with_fetch(SimDuration::from_millis(200))
+            .with_degraded_loading(SimDuration::from_millis(1_000))
+            .with_scaled_models(3);
+        let policies = [Policy::ALL.as_slice(), Policy::PREDICTIVE.as_slice()].concat();
+        for seed in 0..8u64 {
+            let policy = policies[seed as usize % policies.len()];
+            let mut cluster = ClusterSpec::uniform(4)
+                .with_cached_prefix(1)
+                .with_fetch_policy(flaky_registry())
+                .with_faults(ClusterFaults {
+                    seed,
+                    registry_fail_per_mille: 300,
+                    node_crash_per_mille: 150,
+                })
+                .with_cache(CacheConfig {
+                    capacity: CacheCapacity::Artifacts(2),
+                    eviction: EvictionPolicy::Lru,
+                })
+                .with_keep_alive(1.0);
+            cluster.max_running = 3;
+            cluster.autoscaler.target_queue_depth = 2;
+            // Odd seeds stop just after the last arrival, mid-run.
+            let cut_short = seed % 2 == 1;
+            if cut_short {
+                cluster.drain_s = 0.02;
+            }
+            let trace = on_the_grid(
+                TraceConfig::sharegpt(12.0, 15.0)
+                    .with_seed(seed)
+                    .with_pattern(ArrivalPattern::sharegpt_bursty())
+                    .with_models(medusa_workload::ModelMix::zipf(3, 1.0))
+                    .generate(),
+            );
+            let label = format!("grid-s{seed}-{}", policy.build().name());
+            let (stats, _) = assert_runs_match_steps(&label, &profile, &cluster, policy, &trace);
+            assert_eq!(stats.horizon_truncated, cut_short, "{label}");
+        }
+    }
+
+    /// A profile whose every duration is a whole number of milliseconds.
+    fn ms_profile(decode_ms: [u64; 3], prefill_ms: [u64; 2]) -> FleetProfile {
+        let ms = SimDuration::from_millis;
+        let perf = PerfModel::from_tables(
+            Strategy::Medusa,
+            "whole-ms",
+            ms(30),
+            vec![1, 2, 4],
+            decode_ms.map(ms).to_vec(),
+            vec![(100, ms(prefill_ms[0])), (400, ms(prefill_ms[1]))],
+        );
+        FleetProfile::from_perf(Strategy::Medusa, perf).with_fetch(ms(10))
+    }
+
+    /// A busy grid-aligned trace of 100- and 400-token prompts.
+    fn ms_trace(rps: f64, seed: u64) -> Vec<Request> {
+        on_the_grid(
+            TraceConfig::sharegpt(rps, 4.0)
+                .with_seed(seed)
+                .with_pattern(ArrivalPattern::sharegpt_bursty())
+                .generate(),
+        )
+        .into_iter()
+        .map(|r| Request {
+            prompt_tokens: [100, 400][r.id as usize % 2],
+            ..r
+        })
+        .collect()
+    }
+
+    #[test]
+    fn decode_runs_match_the_per_step_schedule_when_other_events_share_the_step_length() {
+        // Prefills, the keep-alive and the autoscaler tick each last
+        // exactly one decode step of some batch size, so their events
+        // share instants and order with decode boundaries.
+        let profile = ms_profile([5, 6, 8], [8, 6]);
+        for (seed, policy) in [
+            (1u64, Policy::LeastLoaded),
+            (2, Policy::Locality),
+            (3, Policy::RoundRobin),
+        ] {
+            let mut cluster = ClusterSpec::uniform(6).with_keep_alive(0.005);
+            cluster.autoscaler.eval_interval_s = Some(0.008);
+            cluster.max_running = 4;
+            let label = format!("coincident-s{seed}");
+            assert_runs_match_steps(&label, &profile, &cluster, policy, &ms_trace(80.0, seed));
+        }
+    }
+
+    #[test]
+    fn decode_runs_match_the_per_step_schedule_when_boundaries_of_different_steps_meet() {
+        // Steps of 5, 7 and 9 ms and shorter prefills: boundaries of
+        // different nodes meet in every order, and a drain at one of them
+        // often places work on a node whose boundary at that instant the
+        // per-step loop processed just before, or is about to.
+        let profile = ms_profile([5, 7, 9], [3, 7]);
+        for (seed, policy) in [
+            (1u64, Policy::LeastLoaded),
+            (2, Policy::ColdStartAware),
+            (3, Policy::RoundRobin),
+            (4, Policy::Locality),
+        ] {
+            let mut cluster = ClusterSpec::uniform(8).with_keep_alive(0.05);
+            cluster.max_running = 3;
+            let label = format!("meeting-s{seed}");
+            assert_runs_match_steps(&label, &profile, &cluster, policy, &ms_trace(150.0, seed));
+        }
     }
 }

@@ -72,7 +72,7 @@ pub use cluster::{
     Policy, PrewarmReport, Registry, RegistryCatalog, RegistryMode, RegistryReport, RoundRobin,
     Scheduler, ServerlessLlmLocality, TenantReport, WholeArtifact,
 };
-pub use event::{EventQueue, EventToken, FleetEvent};
+pub use event::{EventQueue, EventToken, FleetEvent, Order};
 pub use params::PerfModel;
 pub use predict::{PrewarmConfig, PrewarmDecision, PrewarmEstimator, PrewarmPolicy};
 pub use routing::{NodeSetup, RouteQuery, RoutingState};

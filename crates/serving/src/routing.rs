@@ -156,14 +156,16 @@ impl RoutingIndex {
     }
 
     /// Re-indexes node `i` after its state, model, load or helper role
-    /// changed (a no-op when none did).
-    fn sync(&mut self, i: usize, n: &Node) {
+    /// changed (a no-op when none did); returns whether any did.
+    fn sync(&mut self, i: usize, n: &Node) -> bool {
         let slot = Slot::of(n);
-        if slot != self.slots[i] {
-            self.remove(i, self.slots[i]);
-            self.slots[i] = slot;
-            self.insert(i, slot);
+        if slot == self.slots[i] {
+            return false;
         }
+        self.remove(i, self.slots[i]);
+        self.slots[i] = slot;
+        self.insert(i, slot);
+        true
     }
 
     /// Re-indexes node `i`'s cache membership; returns whether it changed.
@@ -234,6 +236,9 @@ pub(crate) struct Router<'a> {
     costs: RefCell<Vec<Vec<ColdCost>>>,
     /// Scratch views, reused across decisions that build them.
     views: RefCell<Vec<NodeView>>,
+    /// Each node's KV reservation at its last sync.
+    #[cfg(debug_assertions)]
+    kv: Vec<u64>,
 }
 
 impl<'a> Router<'a> {
@@ -247,6 +252,8 @@ impl<'a> Router<'a> {
             index: RoutingIndex::build(nodes),
             costs: RefCell::new(vec![Vec::new(); nodes.len()]),
             views: RefCell::new(Vec::new()),
+            #[cfg(debug_assertions)]
+            kv: nodes.iter().map(|n| n.kv_tokens).collect(),
         }
     }
 
@@ -262,17 +269,30 @@ impl<'a> Router<'a> {
     }
 
     /// Re-indexes node `i` after its state, model, load or helper role
-    /// changed.
-    pub(crate) fn sync(&mut self, i: usize, n: &Node) {
-        self.index.sync(i, n);
+    /// changed; returns whether any did. A node's KV reservation is read
+    /// by routing too, and changes only together with its load or state.
+    pub(crate) fn sync(&mut self, i: usize, n: &Node) -> bool {
+        let changed = self.index.sync(i, n);
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                changed || self.kv[i] == n.kv_tokens,
+                "node {i}: KV reservation changed without its load or state"
+            );
+            self.kv[i] = n.kv_tokens;
+        }
+        changed
     }
 
     /// Re-indexes node `i` after its cache (and so its chunk residency)
-    /// changed, dropping its cached cold-start prices.
-    pub(crate) fn sync_cache(&mut self, i: usize, n: &Node) {
-        if self.index.sync_cache(i, n) {
+    /// changed, dropping its cached cold-start prices; returns whether
+    /// its cache membership changed.
+    pub(crate) fn sync_cache(&mut self, i: usize, n: &Node) -> bool {
+        let changed = self.index.sync_cache(i, n);
+        if changed {
             self.costs.get_mut()[i].clear();
         }
+        changed
     }
 
     /// Nodes not Cold.

@@ -6,8 +6,11 @@
 //! cheap materialized cold starts only matter when a scheduler is waking
 //! and retiring instances constantly — and the regime a naive
 //! step-the-world simulator cannot reach. The event core keeps per-event
-//! cost flat (binary-heap queue, O(1) backlog accounting, reused routing
-//! scratch), so millions of events replay faster than real time.
+//! cost flat (binary-heap queue, O(1) backlog accounting, indexed routing)
+//! and schedules one event per decode run rather than per decode step, so
+//! a request costs a handful of events and a million requests replay
+//! faster than real time. The table prints events per offered request and
+//! the event mix per fleet.
 //!
 //! Run with: `cargo run --release --example cluster_scale [nodes] [rps]`
 
@@ -61,10 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
     println!(
-        "{:<10} {:>9} {:>12} {:>12} {:>12} {:>11} {:>9}",
-        "fleet", "colds", "ttft p50", "ttft p99", "events", "events/s", "wall"
+        "{:<10} {:>9} {:>12} {:>12} {:>12} {:>7} {:>11} {:>9}",
+        "fleet", "colds", "ttft p50", "ttft p99", "events", "ev/req", "events/s", "wall"
     );
     let mut rows = Vec::new();
+    let mut mixes = Vec::new();
     for (label, profile) in [("medusa", &medusa), ("vanilla", &vanilla)] {
         let cluster = ClusterSpec::uniform(nodes).with_cached_prefix(nodes);
         let start = Instant::now();
@@ -77,17 +81,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "every arrival must be completed, queued, or in flight"
         );
         println!(
-            "{:<10} {:>9} {:>10.1}ms {:>10.1}ms {:>12} {:>11.0} {:>8.1}s",
+            "{:<10} {:>9} {:>10.1}ms {:>10.1}ms {:>12} {:>7.2} {:>11.0} {:>8.1}s",
             label,
             r.cold_starts,
             r.ttft_p50_us as f64 / 1e3,
             r.ttft_p99_us as f64 / 1e3,
             out.stats.events_processed,
+            out.stats.events_processed as f64 / r.offered.max(1) as f64,
             out.stats.events_processed as f64 / wall.max(1e-9),
             wall
         );
         rows.push(r.ttft_p99_us);
+        let kinds: Vec<String> = out
+            .stats
+            .event_kinds()
+            .map(|(kind, n)| format!("{kind} {n}"))
+            .collect();
+        mixes.push(format!("{label} events: {}", kinds.join(", ")));
     }
+    println!("\n{}", mixes.join("\n"));
     println!(
         "\nmedusa ttft p99 {:.1}ms vs vanilla {:.1}ms — materialization keeps\n\
          the tail down even when the autoscaler churns instances at fleet scale.",

@@ -704,6 +704,16 @@ fn cluster(flags: &HashMap<String, String>) -> Result<(), String> {
         out.stats.events_cancelled,
         out.conservation_residual()
     );
+    let kinds: Vec<String> = out
+        .stats
+        .event_kinds()
+        .map(|(kind, n)| format!("{kind} {n}"))
+        .collect();
+    println!(
+        "  events by kind: {}; {:.2} per offered request",
+        kinds.join(", "),
+        out.stats.events_processed as f64 / r.offered.max(1) as f64
+    );
     if let Some(c) = &r.cache {
         let lookups = c.hits + c.misses;
         let rate_pm = (c.hits * 1_000).checked_div(lookups).unwrap_or(0);
